@@ -51,23 +51,6 @@ pub enum IdMmMsg {
     Nothing,
 }
 
-/// Identifier-model messages carry unbounded payloads (`u64` idents,
-/// colour vectors), so they do not pack: the packed entry points fall
-/// back to the generic engine for this protocol.
-impl pn_runtime::PackedMessage for IdMmMsg {
-    fn lane_bits(_max_degree: usize) -> Option<u32> {
-        None
-    }
-
-    fn encode(&self, _max_degree: usize) -> u64 {
-        unreachable!("IdMmMsg does not pack (lane_bits is None)")
-    }
-
-    fn decode(_code: u64, _max_degree: usize) -> Option<Self> {
-        unreachable!("IdMmMsg does not pack (lane_bits is None)")
-    }
-}
-
 /// Number of rounds of the protocol for degree bound `delta`.
 pub fn id_matching_rounds(delta: usize) -> usize {
     1 + CV_ITERATIONS + delta * 6 * 2

@@ -33,35 +33,6 @@ pub enum RandMmMsg {
     Nothing,
 }
 
-impl pn_runtime::PackedMessage for RandMmMsg {
-    fn lane_bits(_max_degree: usize) -> Option<u32> {
-        pn_runtime::lane_width_for(6)
-    }
-
-    fn encode(&self, _max_degree: usize) -> u64 {
-        match self {
-            RandMmMsg::Free(false) => 1,
-            RandMmMsg::Free(true) => 2,
-            RandMmMsg::Propose => 3,
-            RandMmMsg::Response(false) => 4,
-            RandMmMsg::Response(true) => 5,
-            RandMmMsg::Nothing => 6,
-        }
-    }
-
-    fn decode(code: u64, _max_degree: usize) -> Option<Self> {
-        match code {
-            1 => Some(RandMmMsg::Free(false)),
-            2 => Some(RandMmMsg::Free(true)),
-            3 => Some(RandMmMsg::Propose),
-            4 => Some(RandMmMsg::Response(false)),
-            5 => Some(RandMmMsg::Response(true)),
-            6 => Some(RandMmMsg::Nothing),
-            _ => None,
-        }
-    }
-}
-
 /// Node state machine for the randomised matching.
 #[derive(Clone, Debug)]
 pub struct RandMatchingNode {

@@ -56,34 +56,6 @@ impl NodeAlgorithm for Gossip {
     }
 }
 
-/// The same protocol with the pre-PR allocating `send` and no
-/// `send_into` override — the honest baseline for the legacy engine
-/// (one fresh `Vec` per node per round, as algorithms did before the
-/// migration).
-#[derive(Clone)]
-struct LegacyGossip(Gossip);
-
-impl LegacyGossip {
-    fn new(degree: usize) -> Self {
-        LegacyGossip(Gossip::new(degree))
-    }
-}
-
-impl NodeAlgorithm for LegacyGossip {
-    type Message = u64;
-    type Output = u64;
-
-    fn send(&mut self, _round: usize) -> Vec<u64> {
-        (0..self.0.degree)
-            .map(|q| self.0.acc.wrapping_add(q as u64))
-            .collect()
-    }
-
-    fn receive(&mut self, round: usize, inbox: &[Option<u64>]) -> Option<u64> {
-        self.0.receive(round, inbox)
-    }
-}
-
 fn bench_workload(c: &mut Criterion, name: &str, sizes: &[(usize, PortNumberedGraph)]) {
     let mut group = c.benchmark_group(format!("sim_throughput/{name}"));
     for (n, pg) in sizes {
@@ -93,9 +65,6 @@ fn bench_workload(c: &mut Criterion, name: &str, sizes: &[(usize, PortNumberedGr
         group.bench_with_input(BenchmarkId::new("send_into", n), pg, |b, pg| {
             let sim = Simulator::new(pg);
             b.iter(|| sim.run(Gossip::new).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("legacy_send", n), pg, |b, pg| {
-            b.iter(|| eds_bench::legacy_engine::run_legacy(pg, LegacyGossip::new, 1 << 20).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("parallel4", n), pg, |b, pg| {
             let sim = Simulator::new(pg);

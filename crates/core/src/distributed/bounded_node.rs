@@ -43,53 +43,6 @@ pub enum BoundedMsg {
     Nothing,
 }
 
-impl pn_runtime::PackedMessage for BoundedMsg {
-    fn lane_bits(max_degree: usize) -> Option<u32> {
-        // Eight fixed codes plus a (port, degree) pair, both 1-based and
-        // bounded by Δ: Δ² Hello codes.
-        let d = max_degree as u64;
-        pn_runtime::lane_width_for(8 + d * d)
-    }
-
-    fn encode(&self, max_degree: usize) -> u64 {
-        match self {
-            BoundedMsg::Claim(false) => 1,
-            BoundedMsg::Claim(true) => 2,
-            BoundedMsg::Cover(false) => 3,
-            BoundedMsg::Cover(true) => 4,
-            BoundedMsg::Propose => 5,
-            BoundedMsg::Response(false) => 6,
-            BoundedMsg::Response(true) => 7,
-            BoundedMsg::Nothing => 8,
-            BoundedMsg::Hello { port, degree } => {
-                9 + u64::from(port - 1) + max_degree as u64 * u64::from(degree - 1)
-            }
-        }
-    }
-
-    fn decode(code: u64, max_degree: usize) -> Option<Self> {
-        match code {
-            0 => None,
-            1 => Some(BoundedMsg::Claim(false)),
-            2 => Some(BoundedMsg::Claim(true)),
-            3 => Some(BoundedMsg::Cover(false)),
-            4 => Some(BoundedMsg::Cover(true)),
-            5 => Some(BoundedMsg::Propose),
-            6 => Some(BoundedMsg::Response(false)),
-            7 => Some(BoundedMsg::Response(true)),
-            8 => Some(BoundedMsg::Nothing),
-            c => {
-                let rem = c - 9;
-                let d = max_degree as u64;
-                Some(BoundedMsg::Hello {
-                    port: (rem % d) as u32 + 1,
-                    degree: (rem / d) as u32 + 1,
-                })
-            }
-        }
-    }
-}
-
 /// What the schedule prescribes for a given round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Step {

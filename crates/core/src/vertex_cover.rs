@@ -58,31 +58,6 @@ pub enum VcMsg {
     Nothing,
 }
 
-impl pn_runtime::PackedMessage for VcMsg {
-    fn lane_bits(_max_degree: usize) -> Option<u32> {
-        pn_runtime::lane_width_for(4)
-    }
-
-    fn encode(&self, _max_degree: usize) -> u64 {
-        match self {
-            VcMsg::Propose => 1,
-            VcMsg::Response(false) => 2,
-            VcMsg::Response(true) => 3,
-            VcMsg::Nothing => 4,
-        }
-    }
-
-    fn decode(code: u64, _max_degree: usize) -> Option<Self> {
-        match code {
-            1 => Some(VcMsg::Propose),
-            2 => Some(VcMsg::Response(false)),
-            3 => Some(VcMsg::Response(true)),
-            4 => Some(VcMsg::Nothing),
-            _ => None,
-        }
-    }
-}
-
 /// Distributed implementation: the standalone double-cover proposal
 /// protocol. Each node plays a proposer and an acceptor role; after
 /// `2·Δ` rounds it outputs whether it is covered by the 2-matching.

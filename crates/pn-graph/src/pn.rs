@@ -322,33 +322,6 @@ impl PortNumberedGraph {
         &self.conn
     }
 
-    /// The degree-sorted node relayout: a permutation `perm` with
-    /// `perm[new] = old` listing the nodes in ascending order of degree,
-    /// **stable** (nodes of equal degree keep their original relative
-    /// order, so structured generators' locality survives the sort).
-    ///
-    /// This is the CSR reordering used by the packed execution tier in
-    /// `pn-runtime`: grouping equal-degree nodes makes their port windows
-    /// uniform runs in the flat slot arena, which is what lets per-word
-    /// kernels process many nodes per machine word and keeps the route
-    /// plan's gather entries shared across lanes. On a regular graph the
-    /// permutation is the identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node count exceeds `u32::MAX` (no generator in this
-    /// workspace can produce such a graph: the port arena is addressed
-    /// with `u32` slots well before that).
-    pub fn degree_sorted_permutation(&self) -> Vec<u32> {
-        assert!(
-            self.degrees.len() <= u32::MAX as usize,
-            "node count exceeds u32 range"
-        );
-        let mut perm: Vec<u32> = (0..self.degrees.len() as u32).collect();
-        perm.sort_by_key(|&v| self.degrees[v as usize]);
-        perm
-    }
-
     /// The shape of edge `e`.
     pub fn edge(&self, e: EdgeId) -> EdgeShape {
         self.edges[e.index()]

@@ -58,20 +58,15 @@
 //! loop contains no formatting and no per-message branching beyond the
 //! occupancy check.
 //!
-//! # The bit-packed raw-speed tier
+//! # One engine
 //!
-//! Protocols whose messages implement [`PackedMessage`] (tiny enums over
-//! bounded degrees — every protocol in this workspace except the
-//! identifier-model baseline) can run through the **packed engine**
-//! ([`Simulator::run_packed`], [`Simulator::run_packed_parallel`]): port
-//! windows become bit lanes inside `u64` words, the route phase becomes
-//! a per-word gather plan, and nodes are relayouted by a stable degree
-//! sort for cache locality — bit-identical to this generic engine, which
-//! remains the conformance oracle. Regular-graph broadcast/fold programs
-//! can go further with [`WordKernel`]s
-//! ([`Simulator::run_packed_kernel`]), advancing 8–64 node-ports per
-//! word operation. See the `packed` module docs for the word layout,
-//! eligibility rules and the CSR permutation contract.
+//! Every protocol, at every size, runs through this round loop:
+//! [`Simulator::run`] (and [`Simulator::run_with_inputs`]) on the
+//! calling thread, or [`Simulator::run_parallel`] on the worker pool.
+//! The paper's protocols exchange tiny messages for few rounds, and
+//! per-protocol fast paths for them (bit-packed lanes, word kernels)
+//! measured slower than this loop in total on the repository
+//! benchmark, so none are kept.
 //!
 //! # Migrating from `send` to `send_into`
 //!
@@ -136,7 +131,6 @@ mod churn;
 mod error;
 mod metrics;
 mod output;
-mod packed;
 mod parallel;
 mod pool;
 mod simulator;
@@ -147,9 +141,6 @@ pub use cancel::CancelToken;
 pub use churn::{ChurnError, ChurnEvent, ChurnSimulator, Epoch, EventSchedule};
 pub use error::RuntimeError;
 pub use output::{edge_set_from_outputs, fiber_agreement, outputs_from_edge_set, PortSet};
-pub use packed::{
-    kernel_reference_run, lane_width_for, KernelNode, OrGossipKernel, PackedMessage, WordKernel,
-};
 pub use pool::{SubmitError, WorkerPool};
 pub use simulator::{Run, RunOptions, Simulator};
 pub use trace::{HaltEvent, MessageEvent, Trace};

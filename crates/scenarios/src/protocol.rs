@@ -14,8 +14,7 @@ use eds_core::port_one::PortOneNode;
 use eds_core::vertex_cover::VertexCoverNode;
 use pn_graph::{EdgeId, GraphError, NodeId};
 use pn_runtime::{
-    edge_set_from_outputs, AlgorithmFactory, CancelToken, NodeAlgorithm, PackedMessage,
-    RuntimeError, Simulator,
+    edge_set_from_outputs, AlgorithmFactory, CancelToken, NodeAlgorithm, RuntimeError, Simulator,
 };
 
 use crate::scenario::Scenario;
@@ -113,23 +112,18 @@ pub struct ProtocolRun {
     pub messages: usize,
 }
 
-/// Which engine tier handles a protocol run (see the `pn-runtime`
-/// `packed` module docs for the eligibility rules). Every tier produces
-/// bit-identical [`ProtocolRun`]s — this knob trades nothing but speed.
+/// Inert: selects nothing. Every run uses the generic engine
+/// ([`Simulator::run`], or [`Simulator::run_parallel`] when
+/// [`ExecOptions::simulator_threads`] is above 1). The type and its two
+/// variants exist only so the benchmark package, which still names
+/// them, compiles; they go away with that reference.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PackedPolicy {
-    /// Pick automatically: sequential runs go through the bit-packed
-    /// engine when the protocol's message alphabet and the graph's
-    /// degree bound fit a machine word (and silently fall back
-    /// otherwise); multi-threaded runs stay on the generic worker pool.
+    /// Inert; the generic engine runs.
     #[default]
     Auto,
-    /// Always the generic engine (the conformance oracle).
+    /// Inert; the generic engine runs.
     Never,
-    /// Always the packed engine, including its chunked parallel path
-    /// for `simulator_threads > 1`; still falls back to generic when
-    /// the eligibility rules fail (unpackable message alphabets).
-    Force,
 }
 
 /// Execution knobs for a single protocol run; the defaults reproduce
@@ -146,7 +140,8 @@ pub struct ExecOptions {
     /// [`Simulator::run_parallel`] (bit-identical results, useful for
     /// single huge instances), `1` stays on the sequential engine.
     pub simulator_threads: usize,
-    /// Engine-tier selection; [`PackedPolicy::Auto`] by default.
+    /// Inert: selects nothing, every run uses the generic engine. Kept
+    /// only so the benchmark package, which still sets it, compiles.
     pub packed: PackedPolicy,
 }
 
@@ -286,7 +281,6 @@ impl Protocol {
             sim = sim.cancel_token(token.clone());
         }
         let threads = opts.simulator_threads.max(1);
-        let packed = opts.packed;
         // A claimed Δ below the true maximum would violate the node
         // algorithms' contract (every degree must be ≤ Δ); raise it.
         let delta = opts.delta.unwrap_or(0).max(g.max_degree());
@@ -295,23 +289,17 @@ impl Protocol {
             sim: &Simulator,
             factory: F,
             threads: usize,
-            packed: PackedPolicy,
         ) -> Result<pn_runtime::Run<<F::Algorithm as NodeAlgorithm>::Output>, RuntimeError>
         where
             F: AlgorithmFactory,
             F::Algorithm: Send,
-            <F::Algorithm as NodeAlgorithm>::Message: PackedMessage + Send + Sync,
+            <F::Algorithm as NodeAlgorithm>::Message: Send,
             <F::Algorithm as NodeAlgorithm>::Output: Send,
         {
-            match (packed, threads > 1) {
-                (PackedPolicy::Never, true) => sim.run_parallel(factory, threads),
-                (PackedPolicy::Never, false) => sim.run(factory),
-                // Auto keeps multi-threaded runs on the generic pool:
-                // the packed engine's win is sequential throughput.
-                (PackedPolicy::Auto, true) => sim.run_parallel(factory, threads),
-                (PackedPolicy::Auto, false) => sim.run_packed(factory),
-                (PackedPolicy::Force, true) => sim.run_packed_parallel(factory, threads),
-                (PackedPolicy::Force, false) => sim.run_packed(factory),
+            if threads > 1 {
+                sim.run_parallel(factory, threads)
+            } else {
+                sim.run(factory)
             }
         }
 
@@ -320,32 +308,22 @@ impl Protocol {
             inputs: &[I],
             factory: impl Fn(usize, &I) -> A,
             threads: usize,
-            packed: PackedPolicy,
         ) -> Result<pn_runtime::Run<A::Output>, RuntimeError>
         where
             A: NodeAlgorithm + Send,
-            A::Message: PackedMessage + Send + Sync,
+            A::Message: Send,
             A::Output: Send,
         {
-            match (packed, threads > 1) {
-                (PackedPolicy::Never, true) => {
-                    sim.run_parallel_with_inputs(inputs, factory, threads)
-                }
-                (PackedPolicy::Never, false) => sim.run_with_inputs(inputs, factory),
-                (PackedPolicy::Auto, true) => {
-                    sim.run_parallel_with_inputs(inputs, factory, threads)
-                }
-                (PackedPolicy::Auto, false) => sim.run_packed_with_inputs(inputs, factory),
-                (PackedPolicy::Force, true) => {
-                    sim.run_packed_parallel_with_inputs(inputs, factory, threads)
-                }
-                (PackedPolicy::Force, false) => sim.run_packed_with_inputs(inputs, factory),
+            if threads > 1 {
+                sim.run_parallel_with_inputs(inputs, factory, threads)
+            } else {
+                sim.run_with_inputs(inputs, factory)
             }
         }
 
         match self {
             Protocol::PortOne => {
-                let run = drive(&sim, PortOneNode::new, threads, packed)?;
+                let run = drive(&sim, PortOneNode::new, threads)?;
                 Ok(ProtocolRun {
                     solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
                     rounds: run.rounds,
@@ -353,7 +331,7 @@ impl Protocol {
                 })
             }
             Protocol::RegularOdd => {
-                let run = drive(&sim, RegularOddNode::new, threads, packed)?;
+                let run = drive(&sim, RegularOddNode::new, threads)?;
                 Ok(ProtocolRun {
                     solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
                     rounds: run.rounds,
@@ -361,12 +339,7 @@ impl Protocol {
                 })
             }
             Protocol::BoundedDegree => {
-                let run = drive(
-                    &sim,
-                    |d: usize| BoundedDegreeNode::new(delta, d),
-                    threads,
-                    packed,
-                )?;
+                let run = drive(&sim, |d: usize| BoundedDegreeNode::new(delta, d), threads)?;
                 Ok(ProtocolRun {
                     solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
                     rounds: run.rounds,
@@ -374,12 +347,7 @@ impl Protocol {
                 })
             }
             Protocol::VertexCover => {
-                let run = drive(
-                    &sim,
-                    |d: usize| VertexCoverNode::new(delta, d),
-                    threads,
-                    packed,
-                )?;
+                let run = drive(&sim, |d: usize| VertexCoverNode::new(delta, d), threads)?;
                 Ok(ProtocolRun {
                     solution: Solution::Nodes(
                         g.nodes().filter(|v| run.outputs[v.index()]).collect(),
@@ -395,7 +363,6 @@ impl Protocol {
                     &ids,
                     |degree, &id| IdMatchingNode::new(delta, degree, id),
                     threads,
-                    packed,
                 )?;
                 Ok(ProtocolRun {
                     solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),
@@ -411,7 +378,6 @@ impl Protocol {
                     &seeds,
                     |degree, &seed| RandMatchingNode::new(degree, seed, phases),
                     threads,
-                    packed,
                 )?;
                 Ok(ProtocolRun {
                     solution: Solution::Edges(edge_set_from_outputs(g, &run.outputs)?),

@@ -210,23 +210,23 @@ impl Registry {
         Registry { specs }
     }
 
-    /// The 10M–100M streamed scale tier for the bit-packed engine: the
-    /// cycle and cubic streamed families at `n` nodes, canonical and
-    /// shuffled numberings, with sequential execution defaults — the
-    /// packed engine's win is single-thread throughput, and at this
-    /// scale the worker pool's per-chunk buffers would only add memory
-    /// pressure. Not part of [`Registry::full`]: a 100M-node scenario
-    /// materialises multi-GB structures, so this tier is explicit
-    /// opt-in (`scenario_sweep --scale [N]` and the nightly workflow).
+    /// The 10M–100M streamed scale tier: the cycle and cubic streamed
+    /// families ([`Family::MillionCycle`], [`Family::MillionRegular`]) at
+    /// `n` nodes, canonical and shuffled numberings, with sequential
+    /// execution defaults — at this scale the worker pool's per-chunk
+    /// buffers would only add memory pressure. Not part of
+    /// [`Registry::full`]: a 100M-node scenario materialises multi-GB
+    /// structures, so this tier is explicit opt-in
+    /// (`scenario_sweep --scale [N]`).
     pub fn scale(n: usize) -> Self {
         let mut specs = Vec::new();
         for policy in [PortPolicy::Canonical, PortPolicy::Shuffled] {
             specs.push(
-                ScenarioSpec::new(Family::HundredMillionCycle { n }, 0, policy)
+                ScenarioSpec::new(Family::MillionCycle { n }, 0, policy)
                     .with_exec(ExecOptions::default()),
             );
             specs.push(
-                ScenarioSpec::new(Family::HundredMillionRegular { n }, 0, policy)
+                ScenarioSpec::new(Family::MillionRegular { n }, 0, policy)
                     .with_exec(ExecOptions::default()),
             );
         }
@@ -507,6 +507,20 @@ mod tests {
                 .build()
                 .unwrap();
         }
+    }
+
+    #[test]
+    fn scale_registry_runs_the_streamed_families_sequentially() {
+        let r = Registry::scale(100);
+        assert_eq!(r.len(), 4, "two families x canonical and shuffled");
+        for spec in r.iter() {
+            assert!(matches!(
+                spec.family,
+                Family::MillionCycle { n: 100 } | Family::MillionRegular { n: 100 }
+            ));
+            assert_eq!(spec.exec, Some(ExecOptions::default()));
+        }
+        r.build_all().unwrap();
     }
 
     #[test]

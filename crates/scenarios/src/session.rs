@@ -252,7 +252,6 @@ pub struct Session {
     /// beyond that); `Some` wins over both.
     delta: Option<usize>,
     simulator_threads: Option<usize>,
-    packed: Option<crate::PackedPolicy>,
     cancel: Option<CancelToken>,
     recovery: RecoveryPolicy,
 }
@@ -274,7 +273,6 @@ impl Session {
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             delta: None,
             simulator_threads: None,
-            packed: None,
             cancel: None,
             recovery: RecoveryPolicy::default(),
         }
@@ -360,17 +358,6 @@ impl Session {
         self
     }
 
-    /// Overrides the engine-tier selection for every protocol run the
-    /// session drives (default: each spec's [`ScenarioSpec::exec`]
-    /// defaults, [`crate::PackedPolicy::Auto`] beyond that). Results are
-    /// bit-identical across policies — this knob selects a speed tier
-    /// and, with [`crate::PackedPolicy::Never`] vs
-    /// [`crate::PackedPolicy::Force`], drives the conformance suites.
-    pub fn packed_policy(mut self, policy: crate::PackedPolicy) -> Self {
-        self.packed = Some(policy);
-        self
-    }
-
     /// Installs a cooperative cancellation token: every protocol run the
     /// session drives polls it between simulator rounds and aborts with
     /// a [`SweepError::Runtime`] carrying
@@ -400,7 +387,7 @@ impl Session {
         ExecOptions {
             delta: self.delta.or(spec.delta),
             simulator_threads: self.simulator_threads.unwrap_or(spec.simulator_threads),
-            packed: self.packed.unwrap_or(spec.packed),
+            ..spec
         }
     }
 

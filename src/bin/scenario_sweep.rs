@@ -25,11 +25,11 @@
 //!   re-stabilisation rung — on the streamed tier, local witness repair
 //!   is the contract, not a fast path (the CI `churn-scale-smoke`
 //!   contract);
-//! * `--scale [N]` sweeps the 10M-100M streamed tier for the
-//!   bit-packed engine ([`Registry::scale`], default `N` =
-//!   100,000,000 nodes) - sequential execution defaults, the packed
-//!   fast path selected automatically. Budget multiple GB of RAM at
-//!   the full size; CI smokes it at a reduced `N`;
+//! * `--scale [N]` sweeps the 10M-100M streamed tier
+//!   ([`Registry::scale`]: the streamed cycle and cubic families at
+//!   `N` nodes, default 100,000,000) on the sequential generic engine.
+//!   Budget multiple GB of RAM at the full size; a reduced `N` makes a
+//!   quick smoke run;
 //! * `--out PATH` overrides the output path (default
 //!   `BENCH_scenarios.json` in the current directory);
 //! * `--threads N` sets the shard count (default: all cores);
