@@ -62,7 +62,7 @@ mod simple;
 pub mod transform;
 
 pub use covering::CoveringMap;
-pub use dynamic::{DynTopology, DynamicTopology, StreamedDynamicTopology};
+pub use dynamic::DynamicTopology;
 pub use error::GraphError;
 pub use ids::{EdgeId, Endpoint, NodeId, Port};
 pub use multi::MultiGraph;

@@ -90,6 +90,9 @@ pub fn ports_from_orders(
     // port_of[slot in edge] -> port of each endpoint.
     let mut port_of_u: Vec<Option<Port>> = vec![None; g.edge_count()];
     let mut port_of_v: Vec<Option<Port>> = vec![None; g.edge_count()];
+    // One flag per edge, shared by every node: each node clears the flags
+    // it set, so the check stays O(n + m) instead of O(n·m).
+    let mut seen = vec![false; g.edge_count()];
     for v in g.nodes() {
         let order = &orders[v.index()];
         if order.len() != g.degree(v) {
@@ -101,7 +104,6 @@ pub fn ports_from_orders(
                 ),
             });
         }
-        let mut seen = vec![false; g.edge_count()];
         for (i, &e) in order.iter().enumerate() {
             let (a, b) = g.endpoints(e);
             if (a != v && b != v) || seen[e.index()] {
@@ -115,6 +117,9 @@ pub fn ports_from_orders(
             } else {
                 port_of_v[e.index()] = Some(Port::from_index(i));
             }
+        }
+        for &e in order {
+            seen[e.index()] = false;
         }
     }
     let mut b = PnGraphBuilder::new();
@@ -308,6 +313,12 @@ mod tests {
         let e1 = g2.add_edge_ids(1, 2).unwrap();
         let bad2 = vec![vec![e1], vec![e0, e1], vec![e1]];
         assert!(ports_from_orders(&g2, &bad2).is_err()); // e1 not incident to node 0
+                                                         // An order repeating an incident edge is no permutation, even
+                                                         // though node 0 cleared its flag for e0 before node 1 checks.
+        let repeated = vec![vec![e0], vec![e0, e0], vec![e1]];
+        assert!(ports_from_orders(&g2, &repeated).is_err());
+        let valid = vec![vec![e0], vec![e1, e0], vec![e1]];
+        assert!(ports_from_orders(&g2, &valid).is_ok());
     }
 
     #[test]

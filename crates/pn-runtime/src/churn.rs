@@ -10,9 +10,11 @@
 //! # Epoch semantics
 //!
 //! Events are applied only at *quiescence barriers*: every node has
-//! halted, the burst mutates the topology ([`pn_graph::DynamicTopology`])
-//! and/or queues state corruption, and the protocol then re-runs to
-//! quiescence on the frozen snapshot. Events are never interleaved with
+//! halted, the burst mutates the topology and/or queues state corruption,
+//! and the protocol then re-runs to quiescence on the frozen snapshot.
+//! The topology is one [`pn_graph::DynamicTopology`]: a delta overlay
+//! that borrows the starting graph, so churn over a million-node graph
+//! never copies it and holds only the rows the events touched. Events are never interleaved with
 //! the send/route/receive phases of a round — the paper's protocols are
 //! driven by rigid round schedules derived from `Δ` and the port
 //! numbering, both of which a topology change invalidates, so the honest
@@ -42,7 +44,7 @@
 //! states. [`Epoch::reset_recovery`] records that the fallback fired;
 //! its rounds count toward recovery like any others.
 
-use pn_graph::{DynTopology, DynamicTopology, GraphError, NodeId, PortNumberedGraph};
+use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph};
 
 use crate::cancel::CancelToken;
 use crate::{NodeAlgorithm, RunOptions, RuntimeError, Simulator};
@@ -189,17 +191,14 @@ pub struct Epoch<O> {
 /// node id. Nodes created by [`ChurnEvent::Join`] get fresh ids past the
 /// original range — factories must be total over them.
 ///
-/// The topology parameter `T` defaults to the dense
-/// [`DynamicTopology`]; [`ChurnSimulator::with_topology`] accepts any
-/// [`DynTopology`] — in particular
-/// [`pn_graph::StreamedDynamicTopology`], which lets million-node
-/// streamed graphs churn without a second full materialisation.
-pub struct ChurnSimulator<A, F, T = DynamicTopology>
+/// The simulator borrows its starting graph for its whole life: the
+/// mutable [`DynamicTopology`] overlays the bursts on it instead of
+/// copying it.
+pub struct ChurnSimulator<'g, A, F>
 where
     F: Fn(NodeId, usize) -> A,
-    T: DynTopology,
 {
-    topo: T,
+    topo: DynamicTopology<'g>,
     factory: F,
     options: RunOptions,
     threads: usize,
@@ -208,7 +207,7 @@ where
     cancel: Option<CancelToken>,
 }
 
-impl<A, F> ChurnSimulator<A, F, DynamicTopology>
+impl<'g, A, F> ChurnSimulator<'g, A, F>
 where
     A: NodeAlgorithm + Send,
     A::Message: Send,
@@ -216,42 +215,22 @@ where
     F: Fn(NodeId, usize) -> A,
 {
     /// A churn simulator over the wiring of `g` with default options and
-    /// the sequential per-epoch engine.
+    /// the sequential per-epoch engine. Every node starts alive.
     ///
     /// # Errors
     ///
-    /// [`GraphError::NotSimple`] if `g` has loops — the dynamic layer
-    /// maintains simple topologies only.
-    pub fn new(g: &PortNumberedGraph, factory: F) -> Result<Self, GraphError> {
-        Ok(Self::with_topology(
-            DynamicTopology::from_graph(g)?,
-            factory,
-        ))
-    }
-}
-
-impl<A, F, T> ChurnSimulator<A, F, T>
-where
-    A: NodeAlgorithm + Send,
-    A::Message: Send,
-    A::Output: Send,
-    F: Fn(NodeId, usize) -> A,
-    T: DynTopology,
-{
-    /// A churn simulator over an existing mutable topology (dense or
-    /// streamed) with default options and the sequential per-epoch
-    /// engine. Every node starts alive.
-    pub fn with_topology(topo: T, factory: F) -> Self {
-        let n = topo.node_count();
-        ChurnSimulator {
-            topo,
+    /// [`GraphError::NotSimple`] if `g` has loops or parallel links —
+    /// the dynamic layer maintains simple topologies only.
+    pub fn new(g: &'g PortNumberedGraph, factory: F) -> Result<Self, GraphError> {
+        Ok(ChurnSimulator {
+            topo: DynamicTopology::new(g)?,
             factory,
             options: RunOptions::default(),
             threads: 1,
-            crashed: vec![false; n],
+            crashed: vec![false; g.node_count()],
             pending_corrupt: Vec::new(),
             cancel: None,
-        }
+        })
     }
 
     /// Overrides the per-epoch run options.
@@ -280,7 +259,7 @@ where
     }
 
     /// The current (mutable) topology.
-    pub fn topology(&self) -> &T {
+    pub fn topology(&self) -> &DynamicTopology<'g> {
         &self.topo
     }
 
@@ -361,8 +340,9 @@ where
     }
 
     /// Runs the protocol to quiescence on the current topology,
-    /// consuming any queued corruption. See the [module docs](self) for
-    /// the corruption/recovery semantics.
+    /// consuming any queued corruption. A corrupted epoch that fails
+    /// outright re-runs once from states restored through
+    /// [`crate::NodeAlgorithm::reset`] (see [`Epoch::reset_recovery`]).
     ///
     /// # Errors
     ///
@@ -475,9 +455,12 @@ mod tests {
         }
     }
 
-    fn sim() -> ChurnSimulator<Echo, impl Fn(NodeId, usize) -> Echo> {
-        let g = ports::canonical_ports(&generators::cycle(6).unwrap()).unwrap();
-        ChurnSimulator::new(&g, |_, d| Echo {
+    fn cycle6() -> PortNumberedGraph {
+        ports::canonical_ports(&generators::cycle(6).unwrap()).unwrap()
+    }
+
+    fn sim(g: &PortNumberedGraph) -> ChurnSimulator<'_, Echo, impl Fn(NodeId, usize) -> Echo> {
+        ChurnSimulator::new(g, |_, d| Echo {
             degree: d,
             token: 1,
         })
@@ -486,14 +469,14 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_one_static_run() {
-        let g = ports::canonical_ports(&generators::cycle(6).unwrap()).unwrap();
+        let g = cycle6();
         let baseline = Simulator::new(&g)
             .run(|d| Echo {
                 degree: d,
                 token: 1,
             })
             .unwrap();
-        let epochs = sim().run(&EventSchedule::new()).unwrap();
+        let epochs = sim(&g).run(&EventSchedule::new()).unwrap();
         assert_eq!(epochs.len(), 1);
         assert_eq!(epochs[0].outputs, baseline.outputs);
         assert_eq!(epochs[0].rounds, baseline.rounds);
@@ -521,9 +504,10 @@ mod tests {
                     attach: vec![NodeId::new(4), NodeId::new(5)],
                 },
             ]);
-        let baseline = sim().run(&schedule).unwrap();
+        let g = cycle6();
+        let baseline = sim(&g).run(&schedule).unwrap();
         for threads in [2, 4] {
-            let parallel = sim().simulator_threads(threads).run(&schedule).unwrap();
+            let parallel = sim(&g).simulator_threads(threads).run(&schedule).unwrap();
             assert_eq!(parallel.len(), baseline.len());
             for (p, b) in parallel.iter().zip(&baseline) {
                 assert_eq!(p.graph, b.graph, "threads={threads}");
@@ -536,7 +520,8 @@ mod tests {
 
     #[test]
     fn crash_isolates_and_insert_revives() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         s.apply_burst(&[ChurnEvent::Crash { v: NodeId::new(2) }])
             .unwrap();
         assert!(s.is_crashed(NodeId::new(2)));
@@ -553,7 +538,8 @@ mod tests {
 
     #[test]
     fn corruption_is_consumed_and_counted() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(0),
             entropy: 41,
@@ -573,7 +559,8 @@ mod tests {
 
     #[test]
     fn failed_corrupted_epoch_recovers_through_reset() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(3),
             entropy: u64::MAX, // makes the node's send fail outright
@@ -583,7 +570,7 @@ mod tests {
         assert!(epoch.reset_recovery);
         assert_eq!(epoch.corrupted, 1);
         // After reset the epoch is indistinguishable from a clean one.
-        let clean = sim().stabilize().unwrap();
+        let clean = sim(&g).stabilize().unwrap();
         assert_eq!(epoch.outputs, clean.outputs);
     }
 
@@ -605,7 +592,8 @@ mod tests {
     fn cancelled_barrier_yields_structured_timeout() {
         let token = CancelToken::new();
         token.cancel();
-        let mut s = sim().cancel_token(token);
+        let g = cycle6();
+        let mut s = sim(&g).cancel_token(token);
         match s.stabilize() {
             Err(ChurnError::Runtime(RuntimeError::Cancelled {
                 after_rounds,
@@ -624,7 +612,8 @@ mod tests {
         // epoch must report the timeout, not attempt the reset re-run.
         let token = CancelToken::new();
         token.cancel();
-        let mut s = sim().cancel_token(token);
+        let g = cycle6();
+        let mut s = sim(&g).cancel_token(token);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(0),
             entropy: u64::MAX,
@@ -638,7 +627,8 @@ mod tests {
 
     #[test]
     fn clear_corruption_discards_the_queue() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         s.apply_burst(&[ChurnEvent::Corrupt {
             v: NodeId::new(0),
             entropy: 41,
@@ -651,47 +641,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_topology_churns_identically_to_dense() {
-        let g = ports::canonical_ports(&generators::cycle(6).unwrap()).unwrap();
-        let mut schedule = EventSchedule::new();
-        schedule
-            .push_burst(vec![
-                ChurnEvent::DeleteEdge {
-                    u: NodeId::new(0),
-                    v: NodeId::new(1),
-                },
-                ChurnEvent::InsertEdge {
-                    u: NodeId::new(0),
-                    v: NodeId::new(3),
-                },
-            ])
-            .push_burst(vec![
-                ChurnEvent::Crash { v: NodeId::new(2) },
-                ChurnEvent::Join {
-                    attach: vec![NodeId::new(4)],
-                },
-            ]);
-        let dense = sim().run(&schedule).unwrap();
-        let factory = |_: NodeId, d: usize| Echo {
-            degree: d,
-            token: 1,
-        };
-        let streamed =
-            ChurnSimulator::with_topology(pn_graph::StreamedDynamicTopology::new(&g), factory)
-                .run(&schedule)
-                .unwrap();
-        assert_eq!(dense.len(), streamed.len());
-        for (d, s) in dense.iter().zip(&streamed) {
-            assert_eq!(d.graph, s.graph);
-            assert_eq!(d.outputs, s.outputs);
-            assert_eq!(d.rounds, s.rounds);
-            assert_eq!(d.messages, s.messages);
-        }
-    }
-
-    #[test]
     fn invalid_events_surface_structured_errors() {
-        let mut s = sim();
+        let g = cycle6();
+        let mut s = sim(&g);
         assert!(matches!(
             s.apply_burst(&[ChurnEvent::DeleteEdge {
                 u: NodeId::new(0),

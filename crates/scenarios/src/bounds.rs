@@ -11,7 +11,7 @@
 //!   fractional closed-edge-neighbourhood packing for EDS and a
 //!   fractional matching for VC, solved in exact rational arithmetic
 //!   and seeded from a maximal matching, so the bound is never looser
-//!   than the folklore one. Every LP bound's [`DualCertificate`] is
+//!   than the folklore one. Every LP bound's [`eds_lp::DualCertificate`] is
 //!   re-verified by the independent checker before the bound is used;
 //!   a certificate that fails (a solver bug) is counted in
 //!   [`LpBounds::infeasible_certificates`] and the record falls back

@@ -32,10 +32,7 @@ use eds_core::repair::{
 use eds_core::vertex_cover::VertexCoverNode;
 use eds_verify::{check_edge_dominating_set, check_maximal_matching};
 use pn_graph::ports::canonical_ports;
-use pn_graph::{
-    DynTopology, DynamicTopology, GraphError, NodeId, PortNumberedGraph, SimpleGraph,
-    StreamedDynamicTopology,
-};
+use pn_graph::{DynamicTopology, GraphError, NodeId, PortNumberedGraph, SimpleGraph};
 use pn_runtime::{
     edge_set_from_outputs, entropy_stream, CancelToken, ChurnError, ChurnEvent, ChurnSimulator,
     EventSchedule, NodeAlgorithm, PortSet, RuntimeError, Simulator,
@@ -117,43 +114,21 @@ pub struct MaterializedChurn {
 /// insertable pair under the degree cap), so the realised
 /// [`EventSchedule::event_count`] may be below the plan's nominal count.
 ///
+/// The schedule is drawn against a [`DynamicTopology`] that borrows
+/// `base` instead of copying it, so million-node bases materialise in
+/// memory proportional to the events, not the graph.
+///
 /// # Errors
 ///
-/// Propagates topology errors; none occur for simple base graphs.
+/// [`GraphError::NotSimple`] for a base with loops or parallel links;
+/// otherwise propagates topology errors, none of which occur for simple
+/// bases.
 pub fn materialize(
     base: &PortNumberedGraph,
     plan: &ChurnPlan,
     seed: u64,
 ) -> Result<MaterializedChurn, GraphError> {
-    let mut topo = DynamicTopology::from_graph(base)?;
-    materialize_on(&mut topo, plan, seed)
-}
-
-/// [`materialize`] over a streaming delta overlay: the schedule is drawn
-/// against a [`StreamedDynamicTopology`] that borrows `base` instead of
-/// copying it, so million-node bases materialise in memory proportional
-/// to the events, not the graph. The drawn schedule is bit-identical to
-/// the dense path's (both follow the same mutation semantics).
-///
-/// # Errors
-///
-/// Propagates topology errors; none occur for simple base graphs.
-pub fn materialize_streamed(
-    base: &PortNumberedGraph,
-    plan: &ChurnPlan,
-    seed: u64,
-) -> Result<MaterializedChurn, GraphError> {
-    let mut topo = StreamedDynamicTopology::new(base);
-    materialize_on(&mut topo, plan, seed)
-}
-
-/// The topology-generic schedule drawer shared by [`materialize`] and
-/// [`materialize_streamed`].
-fn materialize_on<T: DynTopology>(
-    topo: &mut T,
-    plan: &ChurnPlan,
-    seed: u64,
-) -> Result<MaterializedChurn, GraphError> {
+    let mut topo = DynamicTopology::new(base)?;
     let mut crashed = vec![false; topo.node_count()];
     let cap = topo.max_degree().max(2);
     let base_edges = topo.edge_count();
@@ -472,10 +447,9 @@ pub fn run_churn(
 /// the fresh output — any divergence fails the run with a structured
 /// report.
 ///
-/// Streamed bases (`MillionCycle`/`MillionRegular` under
-/// [`Family::Churn`]) churn through a [`StreamedDynamicTopology`] delta
-/// overlay, so no second full copy of the graph is ever materialised;
-/// repair-only epochs touch memory proportional to the damage frontier.
+/// Every base churns through a [`DynamicTopology`] delta overlay, so no
+/// second full copy of the graph is ever materialised; repair-only
+/// epochs touch memory proportional to the damage frontier.
 ///
 /// `cancel` is polled at every epoch barrier and once per round inside
 /// full epochs; a deadline firing mid-run yields a structured
@@ -492,23 +466,96 @@ pub fn run_churn_with(
     policy: &RecoveryPolicy,
     cancel: Option<&CancelToken>,
 ) -> Result<ChurnRun, SweepError> {
-    let Family::Churn { base, plan } = &scenario.spec.family else {
+    let Family::Churn { plan, .. } = &scenario.spec.family else {
         return Err(SweepError::Graph(GraphError::InvalidParameter {
             detail: format!("{} is not a churn scenario", scenario.name()),
         }));
     };
-    let streamed = matches!(
-        **base,
-        Family::MillionCycle { .. } | Family::MillionRegular { .. }
-    );
-    if streamed {
-        let mat = materialize_streamed(&scenario.graph, plan, scenario.spec.seed)?;
-        let topo = StreamedDynamicTopology::new(&scenario.graph);
-        run_on(scenario, mat, topo, protocol, exec, policy, cancel)
-    } else {
-        let mat = materialize(&scenario.graph, plan, scenario.spec.seed)?;
-        let topo = DynamicTopology::from_graph(&scenario.graph)?;
-        run_on(scenario, mat, topo, protocol, exec, policy, cancel)
+    let base = &scenario.graph;
+    let seed = scenario.spec.seed;
+    let mat = materialize(base, plan, seed)?;
+    let delta = exec.delta.unwrap_or(0).max(mat.degree_cap);
+    let threads = exec.simulator_threads.max(1);
+    let kind = WitnessKind::of(protocol);
+    let ctx = |bound: Option<(u64, u64)>| RecoveryCtx {
+        policy,
+        cancel,
+        bound,
+        seed,
+    };
+
+    let edges_of = |g: &PortNumberedGraph, outputs: &[PortSet]| {
+        edge_set_from_outputs(g, outputs).map(Solution::Edges)
+    };
+    match protocol {
+        Protocol::PortOne => drive(
+            base,
+            mat,
+            |_, d| PortOneNode::new(d),
+            threads,
+            delta,
+            kind,
+            &ctx(None),
+            edges_of,
+        ),
+        Protocol::BoundedDegree => drive(
+            base,
+            mat,
+            |_, d| BoundedDegreeNode::new(delta, d),
+            threads,
+            delta,
+            kind,
+            &ctx(Some(eds_core::bounded_degree::bounded_degree_ratio(delta))),
+            edges_of,
+        ),
+        Protocol::VertexCover => drive(
+            base,
+            mat,
+            |_, d| VertexCoverNode::new(delta, d),
+            threads,
+            delta,
+            kind,
+            &ctx(Some((3, 1))),
+            |g: &PortNumberedGraph, outputs: &[bool]| {
+                Ok(Solution::Nodes(
+                    g.nodes().filter(|v| outputs[v.index()]).collect(),
+                ))
+            },
+        ),
+        Protocol::IdMatching => {
+            let ids = node_identifiers(mat.max_nodes, seed);
+            drive(
+                base,
+                mat,
+                move |v: NodeId, d| IdMatchingNode::new(delta, d, ids[v.index()]),
+                threads,
+                delta,
+                kind,
+                &ctx(Some((2, 1))),
+                edges_of,
+            )
+        }
+        Protocol::RandMatching => {
+            let seeds = node_seeds(mat.max_nodes, seed);
+            // The phase budget is fixed up front for the largest node
+            // count the schedule can reach, so every epoch runs the same
+            // deterministic schedule.
+            let phases = randomized_matching_phases(mat.max_nodes);
+            drive(
+                base,
+                mat,
+                move |v: NodeId, d| RandMatchingNode::new(d, seeds[v.index()], phases),
+                threads,
+                delta,
+                kind,
+                &ctx(Some((2, 1))),
+                edges_of,
+            )
+        }
+        Protocol::RegularOdd => Err(SweepError::Graph(GraphError::InvalidParameter {
+            detail: "regular-odd requires a static odd-regular graph; churn breaks regularity"
+                .to_owned(),
+        })),
     }
 }
 
@@ -525,105 +572,6 @@ struct RecoveryCtx<'a> {
     seed: u64,
 }
 
-/// Protocol dispatch over an already-materialised schedule and topology.
-fn run_on<T>(
-    scenario: &Scenario,
-    mat: MaterializedChurn,
-    topo: T,
-    protocol: Protocol,
-    exec: &ExecOptions,
-    policy: &RecoveryPolicy,
-    cancel: Option<&CancelToken>,
-) -> Result<ChurnRun, SweepError>
-where
-    T: DynTopology + AdjacencyView,
-{
-    let delta = exec.delta.unwrap_or(0).max(mat.degree_cap);
-    let threads = exec.simulator_threads.max(1);
-    let seed = scenario.spec.seed;
-    let kind = WitnessKind::of(protocol);
-    let ctx = |bound: Option<(u64, u64)>| RecoveryCtx {
-        policy,
-        cancel,
-        bound,
-        seed,
-    };
-
-    let edges_of = |g: &PortNumberedGraph, outputs: &[PortSet]| {
-        edge_set_from_outputs(g, outputs).map(Solution::Edges)
-    };
-    match protocol {
-        Protocol::PortOne => drive(
-            mat,
-            topo,
-            |_, d| PortOneNode::new(d),
-            threads,
-            delta,
-            kind,
-            &ctx(None),
-            edges_of,
-        ),
-        Protocol::BoundedDegree => drive(
-            mat,
-            topo,
-            |_, d| BoundedDegreeNode::new(delta, d),
-            threads,
-            delta,
-            kind,
-            &ctx(Some(eds_core::bounded_degree::bounded_degree_ratio(delta))),
-            edges_of,
-        ),
-        Protocol::VertexCover => drive(
-            mat,
-            topo,
-            |_, d| VertexCoverNode::new(delta, d),
-            threads,
-            delta,
-            kind,
-            &ctx(Some((3, 1))),
-            |g: &PortNumberedGraph, outputs: &[bool]| {
-                Ok(Solution::Nodes(
-                    g.nodes().filter(|v| outputs[v.index()]).collect(),
-                ))
-            },
-        ),
-        Protocol::IdMatching => {
-            let ids = node_identifiers(mat.max_nodes, seed);
-            drive(
-                mat,
-                topo,
-                move |v: NodeId, d| IdMatchingNode::new(delta, d, ids[v.index()]),
-                threads,
-                delta,
-                kind,
-                &ctx(Some((2, 1))),
-                edges_of,
-            )
-        }
-        Protocol::RandMatching => {
-            let seeds = node_seeds(mat.max_nodes, seed);
-            // The phase budget is fixed up front for the largest node
-            // count the schedule can reach, so every epoch runs the same
-            // deterministic schedule.
-            let phases = randomized_matching_phases(mat.max_nodes);
-            drive(
-                mat,
-                topo,
-                move |v: NodeId, d| RandMatchingNode::new(d, seeds[v.index()], phases),
-                threads,
-                delta,
-                kind,
-                &ctx(Some((2, 1))),
-                edges_of,
-            )
-        }
-        Protocol::RegularOdd => Err(SweepError::Graph(GraphError::InvalidParameter {
-            detail: "regular-odd requires a static odd-regular graph; churn breaks regularity"
-                .to_owned(),
-        })),
-    }
-}
-
 /// One verified full epoch: stabilise, extract and feasibility-check the
 /// quiescent output, and — when corruption garbled it — retry with clean
 /// reset epochs up to `max_retries` times.
@@ -638,8 +586,8 @@ struct VerifiedEpoch {
     transients: usize,
 }
 
-fn stabilize_verified<A, F, S, T>(
-    sim: &mut ChurnSimulator<A, F, T>,
+fn stabilize_verified<A, F, S>(
+    sim: &mut ChurnSimulator<'_, A, F>,
     to_solution: &S,
     kind: WitnessKind,
     max_retries: usize,
@@ -650,7 +598,6 @@ where
     A::Output: Send,
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
-    T: DynTopology,
 {
     let epoch = sim.stabilize().map_err(churn_err)?;
     let mut rounds = epoch.rounds;
@@ -811,9 +758,9 @@ where
 /// The generic epoch loop shared by every protocol: the recovery ladder
 /// with sampled-epoch audits.
 #[allow(clippy::too_many_arguments)]
-fn drive<A, F, S, T>(
+fn drive<A, F, S>(
+    base: &PortNumberedGraph,
     mat: MaterializedChurn,
-    topo: T,
     factory: F,
     threads: usize,
     claimed_delta: usize,
@@ -827,9 +774,8 @@ where
     A::Output: Send,
     F: Fn(NodeId, usize) -> A,
     S: Fn(&PortNumberedGraph, &[A::Output]) -> Result<Solution, RuntimeError>,
-    T: DynTopology + AdjacencyView,
 {
-    let mut sim = ChurnSimulator::with_topology(topo, &factory).simulator_threads(threads);
+    let mut sim = ChurnSimulator::new(base, &factory)?.simulator_threads(threads);
     if let Some(token) = ctx.cancel {
         sim = sim.cancel_token(token.clone());
     }
@@ -859,7 +805,7 @@ where
             if token.check() {
                 return Err(SweepError::Runtime(RuntimeError::Cancelled {
                     after_rounds: rounds,
-                    still_running: DynTopology::node_count(sim.topology()),
+                    still_running: sim.topology().node_count(),
                 }));
             }
         }
@@ -873,7 +819,7 @@ where
             witness.scramble_at(v, &mut touched);
         }
         let frontier_nodes = touched.len();
-        let n_now = DynTopology::node_count(sim.topology());
+        let n_now = sim.topology().node_count();
         repair_metrics()
             .frontier_nodes
             .observe(frontier_nodes as u64);

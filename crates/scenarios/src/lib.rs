@@ -83,10 +83,7 @@ pub mod small;
 pub mod sweep;
 
 pub use bounds::{BoundsMode, LpBounds, MmBounds};
-pub use churn::{
-    materialize, materialize_streamed, run_churn, run_churn_with, ChurnPlan, ChurnRun,
-    MaterializedChurn,
-};
+pub use churn::{materialize, run_churn, run_churn_with, ChurnPlan, ChurnRun, MaterializedChurn};
 pub use protocol::{
     recommended_simulator_threads, ExecOptions, PackedPolicy, Protocol, ProtocolRun, Solution,
     SweepError,

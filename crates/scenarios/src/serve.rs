@@ -75,7 +75,7 @@
 //! [`CancelToken`] the simulator polls at round barriers, so oversized
 //! instances under short timeouts answer `timeout` frames too instead
 //! of holding a worker. Graceful shutdown (a `shutdown` frame
-//! or [`Server::shutdown`]) stops accepting frames and connections,
+//! or [`Server::begin_shutdown`]) stops accepting frames and connections,
 //! half-closes client sockets (read side), drains every queued and
 //! in-flight solve, flushes every response, and only then returns.
 

@@ -1,7 +1,7 @@
 //! The solver service: a builder-style [`Session`] that wires a scenario
 //! source, a protocol portfolio, exact-solver budgets and a pluggable
 //! [`BoundProvider`] together, and streams every measurement through a
-//! [`RecordSink`](crate::sink::RecordSink).
+//! [`crate::sink::RecordSink`].
 //!
 //! # The execution model
 //!

@@ -3,7 +3,7 @@
 //! The build environment has no network access, so this workspace ships a
 //! minimal property-testing harness covering the API subset the test
 //! suites use: the [`proptest!`] macro, `prop_assert!`/`prop_assert_eq!`/
-//! `prop_assume!`, range and tuple strategies, [`Strategy::prop_map`],
+//! `prop_assume!`, range and tuple strategies, [`strategy::Strategy::prop_map`],
 //! [`collection::vec`] and `num::u64::ANY`.
 //!
 //! Differences from upstream: cases are generated from a seed derived
@@ -200,7 +200,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

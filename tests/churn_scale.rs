@@ -1,7 +1,7 @@
 //! Integration test: the streamed-tier churn gate.
 //!
 //! [`Registry::churn_scale`] runs churn over the million-node streamed
-//! bases through [`StreamedDynamicTopology`], which overlays the event
+//! bases through `pn_graph::DynamicTopology`, which overlays the event
 //! schedule on the borrowed base graph instead of materialising a second
 //! full copy. Under the repair-first recovery policy every burst must
 //! recover by local witness repair — escalation to a ball re-run or a
